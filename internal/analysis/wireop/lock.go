@@ -34,6 +34,7 @@ var TransportLock = Lock{
 				{"codeFull", 1},
 				{"codeError", 2},
 				{"codeNotFound", 3},
+				{"codeDeadline", 4},
 			},
 		},
 	},

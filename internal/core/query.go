@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -29,10 +30,14 @@ type QueryOptions struct {
 	// OptimizedDP replaces merge-intersection dot products with the dense
 	// query vocabulary mask (§5.2.3).
 	OptimizedDP bool
-	// ExtractCandidates scans the bitvector into a sorted dense array
-	// before Step Q3, making candidate access sequential — the portable
-	// analogue of the paper's software prefetching (§5.2.2). Requires
-	// UseBitvector.
+	// ExtractCandidates is the paper's "+sw prefetch" arm (§5.2.2). Step
+	// Q2 reads every table's bucket bounds, then every bucket's first
+	// item, before marking any candidate, and scans the marked bitvector
+	// into a sorted dense array. Step Q3 then walks that array in chunks,
+	// gathering and touching each chunk's rows before verifying them. Each
+	// pass is a run of independent loads the core keeps in flight at
+	// once, in place of one dependent cache miss per bucket and per row.
+	// Requires UseBitvector.
 	ExtractCandidates bool
 	// Workers sets the pool size for batch queries; <= 0 means GOMAXPROCS.
 	Workers int
@@ -113,16 +118,49 @@ type tablePair struct {
 	a, b uint16
 }
 
-// workspace is one in-flight query's private state.
+// verifyChunk is how many candidate rows Step Q3 gathers and touches
+// before verifying any of them: the software-prefetch distance of
+// §5.2.2. Sixteen rows put at least 32 independent cache lines in
+// flight, few enough that the chunk is still cached when its dot
+// products run. Chunks of 8 to 64 measured the same at 200k documents,
+// where page walks, not miss buffers, bound the overlap.
+const verifyChunk = 16
+
+// Workspace is one in-flight query's private state: the query after Step
+// Q1 (its sketch and, under OptimizedDP, its scattered vocabulary mask),
+// the request's radius threshold and candidate budget, and the probe and
+// verify scratch. Engine.Begin hands one out and Engine.End takes it
+// back. Between the two, the static probe (Engine.SearchOn) and any
+// other candidate source (Verify — the node's delta segments) share one
+// hash, one mask scatter and one budget.
 //
-//plshvet:scratch owned per-query candidate/score buffers; nothing caller-visible is ever stored in them
-type workspace struct {
+//plshvet:scratch owned per-query candidate/score buffers; the caller's query is dropped at End and nothing else caller-visible is stored
+type Workspace struct {
 	seen   *bitvec.Vector
 	cand   []uint32
 	set    map[uint32]struct{}
 	mask   *sparse.QueryMask
 	scores []float32
 	sketch []uint32
+
+	// lo and hi hold each table's bucket bounds, read by the first Q2 pass.
+	lo, hi []uint32
+	// docs holds one chunk of candidate rows gathered ahead of Q3.
+	docs [verifyChunk]docRef
+	// sink absorbs the touch passes' loads so the compiler keeps them.
+	sink uint32
+
+	q         sparse.Vector // the query; read only when OptimizedDP is off
+	thr       float64       // cosine threshold of the request's radius
+	maxCand   int           // SearchParams.MaxCandidates; <= 0 is unbounded
+	evaluated int           // distance computations so far, all sources
+	prefetch  bool          // ExtractCandidates: verify in gathered, touched chunks
+}
+
+// docRef is one gathered candidate row.
+type docRef struct {
+	idx []uint32
+	val []float32
 }
 
 // NewEngine builds a query engine. The store must hold exactly the
@@ -146,10 +184,13 @@ func NewEngine(st *Static, store sparse.Store, opts QueryOptions) *Engine {
 		e.pairs[l] = tablePair{a: uint16(a), b: uint16(b)}
 	}
 	e.wsPool.New = func() any {
-		ws := &workspace{
-			seen:   bitvec.New(st.Len()),
-			scores: make([]float32, st.fam.Params().NumFuncs()),
-			sketch: make([]uint32, st.fam.Params().M),
+		ws := &Workspace{
+			seen:     bitvec.New(st.Len()),
+			scores:   make([]float32, st.fam.Params().NumFuncs()),
+			sketch:   make([]uint32, st.fam.Params().M),
+			lo:       make([]uint32, st.NumTables()),
+			hi:       make([]uint32, st.NumTables()),
+			prefetch: opts.ExtractCandidates,
 		}
 		if !opts.UseBitvector {
 			ws.set = make(map[uint32]struct{}, 1024)
@@ -219,10 +260,57 @@ func (e *Engine) SearchWithStats(q sparse.Vector, p SearchParams) ([]Neighbor, Q
 // are in bucket-scan order — callers wanting the canonical order apply
 // SortNeighbors or TopK to the appended suffix.
 func (e *Engine) SearchAppend(dst []Neighbor, q sparse.Vector, p SearchParams) ([]Neighbor, QueryStats) {
-	ws := e.wsPool.Get().(*workspace)
-	res, stats := e.queryOn(dst, q, ws, p)
-	e.wsPool.Put(ws)
+	if e.st.Len() == 0 || q.NNZ() == 0 {
+		return dst, QueryStats{}
+	}
+	ws := e.Begin(q, p)
+	res, stats := e.queryOn(dst, ws)
+	e.End(ws)
 	return res, stats
+}
+
+// Begin runs Step Q1 for q on a pooled workspace: it hashes the query,
+// scatters its vocabulary mask (under OptimizedDP) and fixes the
+// request's radius threshold and candidate budget. The caller passes the
+// workspace to SearchOn and Verify, then returns it with End. q must be
+// non-empty and stay unmodified until End.
+func (e *Engine) Begin(q sparse.Vector, p SearchParams) *Workspace {
+	ws := e.wsPool.Get().(*Workspace)
+	e.st.fam.SketchInto(q, ws.scores, ws.sketch)
+	radius := e.opts.Radius
+	if p.Radius > 0 {
+		radius = p.Radius
+	}
+	ws.q = q
+	ws.thr = sparse.CosThreshold(radius)
+	ws.maxCand = p.MaxCandidates
+	ws.evaluated = 0
+	if ws.mask != nil {
+		ws.mask.Scatter(q)
+	}
+	return ws
+}
+
+// End returns a workspace obtained from Begin to the engine's pool. The
+// workspace must not be used afterwards.
+func (e *Engine) End(ws *Workspace) {
+	if ws.mask != nil {
+		ws.mask.Unscatter()
+	}
+	ws.q = sparse.Vector{}
+	e.wsPool.Put(ws)
+}
+
+// Sketch returns the query's M hash values from Step Q1, for probing
+// other tables built over the same family. Read-only; valid until End.
+func (ws *Workspace) Sketch() []uint32 { return ws.sketch }
+
+// SearchOn runs Steps Q2–Q4 against the static index for the query
+// prepared in ws, appending answers to dst in bucket-scan order. It
+// spends ws's candidate budget; QueryStats.Unique counts the distance
+// computations made here.
+func (e *Engine) SearchOn(dst []Neighbor, ws *Workspace) ([]Neighbor, QueryStats) {
+	return e.queryOn(dst, ws)
 }
 
 // QueryBatch answers a batch in parallel with work stealing over queries
@@ -264,18 +352,14 @@ func (e *Engine) SearchBatchAppend(dst [][]Neighbor, qs []sparse.Vector, p Searc
 	return dst
 }
 
-// queryOn runs the full Q1–Q4 pipeline on a private workspace, appending
+// queryOn runs Steps Q2–Q4 on a workspace Begin prepared, appending
 // answers to dst.
-func (e *Engine) queryOn(dst []Neighbor, q sparse.Vector, ws *workspace, p SearchParams) ([]Neighbor, QueryStats) {
+func (e *Engine) queryOn(dst []Neighbor, ws *Workspace) ([]Neighbor, QueryStats) {
 	var stats QueryStats
-	if e.st.Len() == 0 || q.NNZ() == 0 {
+	if e.st.Len() == 0 {
 		return dst, stats
 	}
-	hp := e.st.fam.Params()
-	half := uint(hp.K / 2)
-
-	// Step Q1: hash the query (cheap; the paper ignores its cost too).
-	e.st.fam.SketchInto(q, ws.scores, ws.sketch)
+	half := uint(e.st.fam.Params().K / 2)
 
 	var t0 int64
 	if e.opts.CollectPhases {
@@ -287,11 +371,29 @@ func (e *Engine) queryOn(dst []Neighbor, q sparse.Vector, ws *workspace, p Searc
 	if e.opts.UseBitvector {
 		seen := ws.seen
 		if e.opts.ExtractCandidates {
-			// Mark-only pass, then scan to a sorted array (§5.2.2).
-			for l := range e.st.tables {
-				pr := e.pairs[l]
+			// Three passes, each a run of loads that do not depend on
+			// one another, so their misses overlap: every table's
+			// bucket bounds, then every bucket's first item, then the
+			// mark pass over buckets now cached. Then scan to a sorted
+			// array (§5.2.2).
+			tables := e.st.tables
+			lo, hi := ws.lo, ws.hi
+			for l, pr := range e.pairs {
 				key := ws.sketch[pr.a]<<half | ws.sketch[pr.b]
-				bucket := e.st.tables[l].Bucket(key)
+				offs := tables[l].Offsets
+				lo[l], hi[l] = offs[key], offs[key+1]
+			}
+			var sink uint32
+			for l := range tables {
+				// Clamped: an empty bucket may start at len(Items), and
+				// Compact can empty a whole table.
+				if items := tables[l].Items; len(items) > 0 {
+					sink += items[min(int(lo[l]), len(items)-1)]
+				}
+			}
+			ws.sink += sink
+			for l := range tables {
+				bucket := tables[l].Items[lo[l]:hi[l]]
 				stats.Collisions += len(bucket)
 				for _, id := range bucket {
 					seen.Set(int(id))
@@ -336,50 +438,111 @@ func (e *Engine) queryOn(dst []Neighbor, q sparse.Vector, ws *workspace, p Searc
 		t0 = t1
 	}
 
-	// Steps Q3+Q4: distance computation and radius filter, under the
-	// request's radius when one was given. The request-scoped candidate
-	// budget bounds distance computations, the work it exists to cap:
-	// tombstoned candidates are skipped for free, so a deletion-heavy
-	// candidate set does not starve the budget unevaluated, and
-	// stats.Unique is the true evaluation count either way.
-	radius := e.opts.Radius
-	if p.Radius > 0 {
-		radius = p.Radius
-	}
-	thr := sparse.CosThreshold(radius)
-	evaluated := 0
+	// Steps Q3+Q4: distance computation and radius filter.
 	base := len(dst)
-	if e.opts.OptimizedDP {
-		ws.mask.Scatter(q)
-	}
-	for _, id := range ws.cand {
-		if e.deleted != nil && e.deleted.TestAtomic(int(id)) {
-			continue
-		}
-		if p.MaxCandidates > 0 && evaluated == p.MaxCandidates {
-			break
-		}
-		evaluated++
-		idx, val := e.store.Doc(int(id))
-		var dot float64
-		if e.opts.OptimizedDP {
-			dot = ws.mask.Dot(idx, val)
-		} else {
-			dot = sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
-		}
-		if dot >= thr {
-			dst = append(dst, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
-		}
-	}
-	stats.Unique = evaluated
-	if e.opts.OptimizedDP {
-		ws.mask.Unscatter()
-	}
+	before := ws.evaluated
+	dst = ws.Verify(dst, e.store, e.deleted, 0, ws.cand)
+	stats.Unique = ws.evaluated - before
 	if e.opts.CollectPhases {
 		e.q3ns.Add(now() - t0)
 	}
 	stats.Results = len(dst) - base
 	return dst, stats
+}
+
+// Verify runs Steps Q3+Q4 over cand, appending every candidate within
+// the request's radius to dst. Candidate c is row base+c of store and is
+// answered under that ID; deleted (nil for none) holds tombstones by the
+// same ID and is read atomically. The static probe and the node's delta
+// segments both verify through here, so they share the workspace's mask
+// and candidate budget.
+//
+// The budget bounds distance computations: tombstoned candidates are
+// skipped for free, so a deletion-heavy candidate set does not starve
+// the budget unevaluated. Under ExtractCandidates, candidates are
+// verified in chunks: each chunk's row bounds are gathered, then each
+// row's first and last column and value are touched, then the chunk is
+// verified in order — so the row misses of a chunk overlap instead of
+// queuing one per candidate.
+func (ws *Workspace) Verify(dst []Neighbor, store sparse.Store, deleted *bitvec.Vector, base uint32, cand []uint32) []Neighbor {
+	mask, thr := ws.mask, ws.thr
+	left := -1 // distance computations the budget still allows; < 0 is unbounded
+	if ws.maxCand > 0 {
+		left = ws.maxCand - ws.evaluated
+	}
+	evaluated := 0
+	if !ws.prefetch {
+		// The Fig. 5 arms before "+sw prefetch" fetch each row when its
+		// turn comes. This stays a loop of its own: running these arms
+		// through the chunk loop with one-row chunks cost them 10-20%
+		// on Fig5Query, which would misstate the ablation.
+		for _, id := range cand {
+			id += base
+			if deleted != nil && deleted.TestAtomic(int(id)) {
+				continue
+			}
+			if evaluated == left {
+				break
+			}
+			evaluated++
+			idx, val := store.Doc(int(id))
+			var dot float64
+			if mask != nil {
+				dot = mask.Dot(idx, val)
+			} else {
+				dot = sparse.Dot(ws.q, sparse.Vector{Idx: idx, Val: val})
+			}
+			if dot >= thr {
+				dst = append(dst, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
+			}
+		}
+		ws.evaluated += evaluated
+		return dst
+	}
+chunks:
+	for len(cand) > 0 {
+		chunk := cand[:min(verifyChunk, len(cand))]
+		cand = cand[len(chunk):]
+		docs := ws.docs[:len(chunk)]
+		for i, id := range chunk {
+			docs[i].idx, docs[i].val = store.Doc(int(base + id))
+		}
+		ws.touch(docs)
+		for i, id := range chunk {
+			id += base
+			if deleted != nil && deleted.TestAtomic(int(id)) {
+				continue
+			}
+			if evaluated == left {
+				break chunks
+			}
+			evaluated++
+			var dot float64
+			if mask != nil {
+				dot = mask.Dot(docs[i].idx, docs[i].val)
+			} else {
+				dot = sparse.Dot(ws.q, sparse.Vector{Idx: docs[i].idx, Val: docs[i].val})
+			}
+			if dot >= thr {
+				dst = append(dst, Neighbor{ID: id, Dist: sparse.AngularDistance(dot)})
+			}
+		}
+	}
+	ws.evaluated += evaluated
+	return dst
+}
+
+// touch loads the first and last column and value of every gathered row.
+// A row of up to 16 non-zeros spans at most two cache lines per array, so
+// this pulls all of it toward the core with independent loads.
+func (ws *Workspace) touch(docs []docRef) {
+	var sink uint32
+	for _, d := range docs {
+		if n := len(d.idx); n > 0 {
+			sink += d.idx[0] ^ d.idx[n-1] ^ math.Float32bits(d.val[0]) ^ math.Float32bits(d.val[n-1])
+		}
+	}
+	ws.sink += sink
 }
 
 // SortNeighbors orders neighbors by ascending distance, breaking ties by ID

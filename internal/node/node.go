@@ -285,15 +285,14 @@ type Node struct {
 	deletesServed  atomic.Uint64
 }
 
-// deltaWorkspace is one search's private delta-merge state.
+// deltaWorkspace is one search's private delta-probe state: the
+// duplicate-elimination bitvector and candidate buffer. The query's
+// sketch and vocabulary mask live in the engine's core.Workspace.
 //
-//plshvet:scratch owned per-search workspace (bitvec, candidate and score buffers); results are copied out before it returns to the pool
+//plshvet:scratch owned per-search workspace (bitvec and candidate buffers); results are copied out before it returns to the pool
 type deltaWorkspace struct {
-	seen   *bitvec.Vector
-	cand   []uint32
-	mask   *sparse.QueryMask
-	scores []float32
-	sketch []uint32
+	seen *bitvec.Vector
+	cand []uint32
 }
 
 // newArena allocates a document arena for cfg: capacity rows with room
@@ -330,12 +329,7 @@ func Open(ctx context.Context, cfg Config) (*Node, error) {
 		deleted: bitvec.New(cfg.Capacity),
 	}
 	n.dwsPool.New = func() any {
-		return &deltaWorkspace{
-			seen:   bitvec.New(1024),
-			scores: make([]float32, cfg.Params.NumFuncs()),
-			sketch: make([]uint32, cfg.Params.M),
-			mask:   sparse.NewQueryMask(cfg.Params.Dim),
-		}
+		return &deltaWorkspace{seen: bitvec.New(1024)}
 	}
 	if cfg.Dir == "" {
 		n.initStaticLocked() // no readers yet; mu formality only
@@ -1218,66 +1212,32 @@ func (n *Node) QueryTopK(ctx context.Context, q sparse.Vector, k int) ([]core.Ne
 // searchOn runs the combined static+delta query against one immutable
 // snapshot under request-scoped parameters, appending raw answers to dst.
 // It takes no locks: the engine, segments and arena prefix are frozen,
-// and tombstones are read atomically. p.MaxCandidates bounds the total
-// distance computations across the static engine and the delta segments
-// combined; p.K is left to the caller (finishSearch) so the R-near set
-// stays intact for reuse.
+// and tombstones are read atomically. The query is hashed and its mask
+// scattered once, on the engine's workspace, and delta candidates go
+// through the same verify kernel as static ones. p.MaxCandidates bounds
+// the total distance computations across the static engine and the delta
+// segments combined — the workspace carries one budget for both; p.K is
+// left to the caller (finishSearch) so the R-near set stays intact for
+// reuse.
 func (n *Node) searchOn(dst []core.Neighbor, s *snapshot, q sparse.Vector, p SearchParams) []core.Neighbor {
 	if q.NNZ() == 0 {
 		return dst
 	}
-	res, stats := s.eng.SearchAppend(dst, q, core.SearchParams{Radius: p.Radius, MaxCandidates: p.MaxCandidates})
+	cp := core.SearchParams{Radius: p.Radius, MaxCandidates: p.MaxCandidates}
 	if len(s.segs) == 0 {
+		res, _ := s.eng.SearchAppend(dst, q, cp)
 		return res
 	}
-	budget := 0
-	if p.MaxCandidates > 0 {
-		budget = p.MaxCandidates - stats.Unique
-		if budget <= 0 {
-			return res
-		}
-	}
-	radius := n.cfg.Query.Radius
-	if p.Radius > 0 {
-		radius = p.Radius
-	}
+	qws := s.eng.Begin(q, cp)
+	defer s.eng.End(qws)
+	res, _ := s.eng.SearchOn(dst, qws)
 	ws := n.dwsPool.Get().(*deltaWorkspace)
 	defer n.dwsPool.Put(ws)
-	n.fam.SketchInto(q, ws.scores, ws.sketch)
-	thr := sparse.CosThreshold(radius)
-	useMask := n.cfg.Query.OptimizedDP
-	if useMask {
-		ws.mask.Scatter(q)
-	}
-segments:
 	for _, sg := range s.segs {
 		ws.seen = ws.seen.Grow(sg.t.Len())
-		ws.cand, _ = sg.t.Candidates(ws.sketch, ws.seen, ws.cand[:0])
+		ws.cand, _ = sg.t.Candidates(qws.Sketch(), ws.seen, ws.cand[:0])
 		ws.seen.ResetList(ws.cand)
-		for _, localID := range ws.cand {
-			globalID := uint32(sg.base) + localID
-			if s.deleted.TestAtomic(int(globalID)) {
-				continue
-			}
-			idx, val := s.store.Doc(int(globalID))
-			var dot float64
-			if useMask {
-				dot = ws.mask.Dot(idx, val)
-			} else {
-				dot = sparse.Dot(q, sparse.Vector{Idx: idx, Val: val})
-			}
-			if dot >= thr {
-				res = append(res, core.Neighbor{ID: globalID, Dist: sparse.AngularDistance(dot)})
-			}
-			if p.MaxCandidates > 0 {
-				if budget--; budget == 0 {
-					break segments
-				}
-			}
-		}
-	}
-	if useMask {
-		ws.mask.Unscatter()
+		res = qws.Verify(res, s.store, s.deleted, uint32(sg.base), ws.cand)
 	}
 	return res
 }

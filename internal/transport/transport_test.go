@@ -553,6 +553,43 @@ func TestDeadlinePropagatesToServer(t *testing.T) {
 	}
 }
 
+// TestRemoteDeadlineIsDeadlineExceeded: when the server-side context
+// expires first — its deadline is rebuilt from wall-clock nanoseconds, so
+// it can run ahead of the caller's own — the backend's ctx.Err() must
+// reach the caller as context.DeadlineExceeded, not as a flattened remote
+// error string. The backend here sees an already-expired deadline while
+// the caller's is 30 s away, which pins the server-first ordering.
+func TestRemoteDeadlineIsDeadlineExceeded(t *testing.T) {
+	backend := &stubBackend{
+		queryBatch: func(ctx context.Context, qs []sparse.Vector) ([][]core.Neighbor, error) {
+			ctx, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+			defer cancel()
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	}
+	addr, _ := startBackend(t, backend, nil)
+	client, err := Dial(bg, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ctx, cancel := context.WithTimeout(bg, 30*time.Second)
+	defer cancel()
+	_, err = client.QueryBatch(ctx, testDocs(1, 13))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("the caller's own deadline expired; the test no longer isolates the remote reply")
+	}
+	// The connection stays usable after a deadline reply.
+	if _, err := client.Stats(bg); err != nil {
+		t.Fatalf("call after a remote deadline failed: %v", err)
+	}
+}
+
 // TestDecodeErrorSurfaced: garbage on the wire must reach the server's
 // error callback instead of silently dropping the connection.
 func TestDecodeErrorSurfaced(t *testing.T) {

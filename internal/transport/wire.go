@@ -125,6 +125,15 @@ const (
 	// id); appended after codeError so existing values stay stable under
 	// version skew.
 	codeNotFound
+	// codeDeadline carries context.DeadlineExceeded: the server bounds a
+	// request with the caller's deadline, rebuilt from wall-clock Unix
+	// nanoseconds, so it can expire there before the caller's own context
+	// does. The client maps it back to context.DeadlineExceeded instead of
+	// a flattened remote error string. A client that predates it takes
+	// its success path with an empty payload: a search then fails its
+	// answer-count check, but other ops (Insert, Flush, MergeNow, Save)
+	// read as done, so upgrade clients before servers.
+	codeDeadline
 )
 
 // response is the server→client frame. Pooled; putResponse zeroes it
@@ -368,6 +377,10 @@ func handle(ctx context.Context, backend NodeClient, req *request, resp *respons
 		}
 		if errors.Is(err, node.ErrNotFound) {
 			resp.Code = codeNotFound
+			return
+		}
+		if errors.Is(err, context.DeadlineExceeded) {
+			resp.Code = codeDeadline
 			return
 		}
 		resp.Code = codeError
@@ -664,6 +677,9 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 		case codeNotFound:
 			putResponse(resp)
 			return nil, node.ErrNotFound
+		case codeDeadline:
+			putResponse(resp)
+			return nil, context.DeadlineExceeded
 		case codeError:
 			err := fmt.Errorf("transport: remote: %s", resp.Err)
 			putResponse(resp)

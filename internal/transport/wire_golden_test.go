@@ -53,6 +53,7 @@ func TestOpcodeValuesStable(t *testing.T) {
 		{"codeFull", codeFull, 1},
 		{"codeError", codeError, 2},
 		{"codeNotFound", codeNotFound, 3},
+		{"codeDeadline", codeDeadline, 4},
 	}
 	for _, tc := range codes {
 		if uint8(tc.got) != tc.want {
@@ -167,6 +168,109 @@ func TestWireFramesGolden(t *testing.T) {
 		}
 		if !reflect.DeepEqual(back, tc.req) {
 			t.Fatalf("%s: golden bytes decode to %+v, want %+v", tc.name, back, tc.req)
+		}
+	}
+}
+
+// goldenResponses is one canonical error-reply frame per sentinel code,
+// in code order.
+func goldenResponses() []response {
+	return []response{
+		{Seq: 1, Code: codeFull},
+		{Seq: 2, Code: codeError, Err: "boom"},
+		{Seq: 3, Code: codeNotFound},
+		{Seq: 4, Code: codeDeadline},
+	}
+}
+
+// goldenResponseBodies is the byte-exact gob encoding of each
+// goldenResponses frame, one hex string per frame, with the message
+// length and type id stripped: gob numbers types process-wide in first-use
+// order, so the id depends on which tests ran first, while the field
+// encoding after it is the per-frame layout a server writes.
+var goldenResponseBodies = []string{
+	"010101010500010000",
+	"010201020104626f6f6d0400010000",
+	"010301030500010000",
+	"010401040500010000",
+}
+
+// gobUint decodes one gob unsigned integer from the front of b, returning
+// it and the bytes after it.
+func gobUint(t *testing.T, b []byte) (uint64, []byte) {
+	t.Helper()
+	if len(b) == 0 {
+		t.Fatal("gob stream truncated")
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), b[1:]
+	}
+	n := int(-int8(b[0]))
+	if n > 8 || len(b) < 1+n {
+		t.Fatal("gob stream: malformed uint")
+	}
+	var v uint64
+	for _, c := range b[1 : 1+n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, b[1+n:]
+}
+
+// TestResponseFramesGolden pins the error-reply frames both ways, like
+// TestWireFramesGolden does for requests: each frame's field encoding is
+// byte-exact, and the golden bodies decode back to the canonical frames.
+func TestResponseFramesGolden(t *testing.T) {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(response{}); err != nil { // sends the type descriptor
+		t.Fatal(err)
+	}
+	warm := buf.Len()
+	want := goldenResponses()
+	for _, r := range want {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rest := buf.Bytes()[warm:]
+	var ids []byte // each frame's length-prefix-free type id bytes
+	for i := range want {
+		n, after := gobUint(t, rest)
+		msg := after[:n]
+		rest = after[n:]
+		_, body := gobUint(t, msg)
+		ids = append(ids, msg[:len(msg)-len(body)]...)
+		if got := hex.EncodeToString(body); got != goldenResponseBodies[i] {
+			t.Fatalf("seq %d: response frame encoding changed; this breaks mixed-version clusters.\ngot:  %s\nwant: %s",
+				want[i].Seq, got, goldenResponseBodies[i])
+		}
+	}
+
+	// Decode the golden bodies, re-framed under this process's type id.
+	var stream bytes.Buffer
+	stream.Write(buf.Bytes()[:warm])
+	idLen := len(ids) / len(want)
+	for _, h := range goldenResponseBodies {
+		body, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.WriteByte(byte(idLen + len(body)))
+		stream.Write(ids[:idLen])
+		stream.Write(body)
+	}
+	dec := gob.NewDecoder(&stream)
+	var warmup response
+	if err := dec.Decode(&warmup); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range want {
+		var back response
+		if err := dec.Decode(&back); err != nil {
+			t.Fatalf("seq %d: decoding golden bytes: %v", w.Seq, err)
+		}
+		if !reflect.DeepEqual(back, w) {
+			t.Fatalf("seq %d: golden bytes decode to %+v, want %+v", w.Seq, back, w)
 		}
 	}
 }
